@@ -248,7 +248,8 @@ class ReleaseHistory:
         """ASN -> item map of a version that stores a full document."""
         return {
             int(item["asn"]): item
-            for item in self._store._full_items(info.filename, info.version)
+            for item in self._store._read_document(
+                info.filename, info.version, "dataset")["records"]
         }
 
     def timeline(self, asn: int) -> Tuple[TimelineEvent, ...]:

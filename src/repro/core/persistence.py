@@ -11,8 +11,10 @@ round-trips :class:`~repro.core.database.ASdbDataset` through two formats:
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
+from json.encoder import encode_basestring_ascii as _json_string
 from typing import Dict, IO, Iterable, Iterator, List, Optional, Tuple
 
 from ..taxonomy import Label, LabelSet, naicslite
@@ -25,6 +27,9 @@ __all__ = [
     "dataset_from_json",
     "record_to_item",
     "record_from_item",
+    "encode_item",
+    "record_chunk",
+    "document_chunks",
     "iter_json_chunks",
     "write_json",
     "write_csv",
@@ -151,10 +156,18 @@ def record_to_item(record: ASdbRecord) -> Dict[str, object]:
     return item
 
 
+@functools.lru_cache(maxsize=None)
+def _label(layer1: str, layer2: Optional[str]) -> Label:
+    """The (immutable) :class:`Label` for a pair of slugs, validated once
+    per distinct pair rather than once per record.  Bounded by the
+    taxonomy: an invalid pair raises, and raising calls are not cached."""
+    return Label(layer1=layer1, layer2=layer2)
+
+
 def record_from_item(item: Dict[str, object]) -> ASdbRecord:
     """Rebuild one record from its :func:`record_to_item` shape."""
     labels = LabelSet(
-        Label(layer1=entry["layer1"], layer2=entry.get("layer2"))
+        _label(entry["layer1"], entry.get("layer2"))
         for entry in item["labels"]
     )
     return ASdbRecord(
@@ -166,6 +179,69 @@ def record_from_item(item: Dict[str, object]) -> ASdbRecord:
         org_key=item.get("org_key"),
         degraded_sources=tuple(item.get("degraded_sources", ())),
     )
+
+
+def _string_or_null(value: Optional[str]) -> str:
+    return "null" if value is None else _json_string(value)
+
+
+def _string_list(values) -> str:
+    """A list of strings as a record field (entries at depth 4)."""
+    if not values:
+        return "[]"
+    return ("[\n        "
+            + ",\n        ".join(map(_json_string, values))
+            + "\n      ]")
+
+
+def encode_item(item: Dict[str, object]) -> str:
+    """One :func:`record_to_item` item as it sits in the JSON document.
+
+    Exactly ``json.dumps(item, indent=2)`` with every line indented by
+    four more spaces (records sit two levels deep), but formatted
+    directly for the fixed item shape: ``indent`` forces CPython's
+    pure-Python encoder, about 6x slower than this.  Strings go through
+    the same ``encode_basestring_ascii`` escaper ``json.dumps`` uses, so
+    the output is byte-identical for every value.
+    """
+    labels = item["labels"]
+    if labels:
+        labels_text = "[\n" + ",\n".join(
+            '        {\n          "layer1": ' + _json_string(entry["layer1"])
+            + ',\n          "layer2": ' + _string_or_null(entry["layer2"])
+            + "\n        }"
+            for entry in labels
+        ) + "\n      ]"
+    else:
+        labels_text = "[]"
+    text = (
+        '    {\n      "asn": ' + int.__repr__(item["asn"])
+        + ',\n      "labels": ' + labels_text
+        + ',\n      "stage": ' + _json_string(item["stage"])
+        + ',\n      "domain": ' + _string_or_null(item["domain"])
+        + ',\n      "sources": ' + _string_list(item["sources"])
+        + ',\n      "org_key": ' + _string_or_null(item["org_key"])
+    )
+    if "degraded_sources" in item:
+        text += (',\n      "degraded_sources": '
+                 + _string_list(item["degraded_sources"]))
+    return text + "\n    }"
+
+
+def record_chunk(record: ASdbRecord) -> str:
+    """One record's slice of the JSON document (see :func:`encode_item`)."""
+    return encode_item(record_to_item(record))
+
+
+def document_chunks(record_chunks: Iterable[str]) -> Iterator[str]:
+    """Wrap a stream of :func:`record_chunk` outputs, ascending by ASN,
+    into the chunks of the full lossless JSON document."""
+    yield '{\n  "format": "asdb-repro/1",\n  "records": ['
+    first = True
+    for chunk in record_chunks:
+        yield ("\n" if first else ",\n") + chunk
+        first = False
+    yield "]\n}" if first else "\n  ]\n}"
 
 
 def iter_json_chunks(records: Iterable[ASdbRecord]) -> Iterator[str]:
@@ -180,19 +256,7 @@ def iter_json_chunks(records: Iterable[ASdbRecord]) -> Iterator[str]:
     snapshot store hashes and writes these chunks without ever
     materializing the document.
     """
-    yield '{\n  "format": "asdb-repro/1",\n  "records": ['
-    first = True
-    for record in records:
-        body = json.dumps(record_to_item(record), indent=2)
-        # Records sit two levels deep in the document; json escapes
-        # newlines inside values, so prefixing each line re-nests the
-        # standalone dump exactly.
-        indented = "\n".join(
-            "    " + bodyline for bodyline in body.splitlines()
-        )
-        yield ("\n" if first else ",\n") + indented
-        first = False
-    yield "]\n}" if first else "\n  ]\n}"
+    return document_chunks(map(record_chunk, records))
 
 
 def write_json(records: Iterable[ASdbRecord], handle: IO[str]) -> int:

@@ -32,6 +32,15 @@ snapshot), so reconstruction cost is O(K deltas) regardless of history
 depth; a blake2b digest of the materialized document, recorded at save
 time, guards every reconstruction.
 
+Save cost model: a delta save makes one verified pass over the parent —
+the same chain walk :meth:`SnapshotStore.load` uses, rebuilding it from
+disk as one encoded record chunk per ASN and checking its digest — and
+one pass over the new dataset, encoding each record once for the
+comparison, the new digest and (when promoted) the checkpoint.  The
+parent side is O(parent) resident; the new side keeps only the changed
+chunks, O(delta).  Every document and the manifest land by fsynced tmp
+file, rename and directory fsync.
+
 Each version also records the maintenance-sweep window and provenance
 that produced it, so ``repro diff``/``repro refresh`` can answer "what
 changed between releases, and why".
@@ -46,14 +55,14 @@ import shutil
 import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .database import ASdbDataset, DatasetDiff, diff_record_streams
 from .persistence import (
     dataset_to_json,
-    iter_json_chunks,
+    document_chunks,
+    record_chunk,
     record_from_item,
-    record_to_item,
 )
 
 __all__ = [
@@ -78,6 +87,26 @@ class SnapshotCorruption(SnapshotError):
     """A stored document no longer matches its recorded digest."""
 
 
+def _digest(record_chunks: Iterable[str],
+            path: Optional[str] = None) -> str:
+    """blake2b-128 of the full JSON document around ``record_chunks``,
+    hashed chunk by chunk; with ``path``, the same pass also writes the
+    document there atomically."""
+    hasher = hashlib.blake2b(digest_size=16)
+
+    def hashed() -> Iterator[str]:
+        for chunk in document_chunks(record_chunks):
+            hasher.update(chunk.encode("utf-8"))
+            yield chunk
+
+    if path is None:
+        for _ in hashed():
+            pass
+    else:
+        _write_atomic(path, hashed())
+    return hasher.hexdigest()
+
+
 def dataset_digest(records) -> str:
     """Digest of a dataset's full JSON document, computed over the
     chunk stream without materializing the document (O(1) memory for
@@ -87,54 +116,61 @@ def dataset_digest(records) -> str:
     caller holding a store-backed dataset can check it against a
     version's manifest digest without loading anything.
     """
-    hasher = hashlib.blake2b(digest_size=16)
-    for chunk in iter_json_chunks(records):
-        hasher.update(chunk.encode("utf-8"))
-    return hasher.hexdigest()
+    return _digest(map(record_chunk, records))
 
 
-def _delta_by_merge(new_records, old_records):
-    """Changed items + removed ASNs via ordered merge over two
-    ascending-ASN record streams.
-
-    Replaces the dict-of-every-item comparison: only the delta itself
-    accumulates, so a sweep snapshot over a store-backed dataset keeps
-    O(delta) memory on the new side (the parent side is materialized by
-    the caller's delta-chain replay).  Items compare by their
-    :func:`record_to_item` shape, exactly as the dict version did.
-    """
-    changed: List[Dict[str, object]] = []
-    removed: List[int] = []
-    sentinel = object()
-    new_iter, old_iter = iter(new_records), iter(old_records)
-    new = next(new_iter, sentinel)
-    old = next(old_iter, sentinel)
-    while new is not sentinel or old is not sentinel:
-        if old is sentinel or (new is not sentinel and new.asn < old.asn):
-            changed.append(record_to_item(new))
-            new = next(new_iter, sentinel)
-        elif new is sentinel or old.asn < new.asn:
-            removed.append(old.asn)
-            old = next(old_iter, sentinel)
-        else:
-            new_item = record_to_item(new)
-            if new_item != record_to_item(old):
-                changed.append(new_item)
-            new = next(new_iter, sentinel)
-            old = next(old_iter, sentinel)
-    return changed, removed
+def _delta_document(base: int, changed_chunks: List[str],
+                    removed: List[int]) -> str:
+    """The delta document, byte-identical to ``json.dumps({"format":
+    DELTA_FORMAT, "base": base, "changed": [items], "removed": removed},
+    indent=2)``.  Changed items sit at the same depth as records in the
+    full document, so their :func:`record_chunk` text is reused as is."""
+    changed = ("[\n" + ",\n".join(changed_chunks) + "\n  ]"
+               if changed_chunks else "[]")
+    gone = ("[\n" + ",\n".join(f"    {asn}" for asn in removed) + "\n  ]"
+            if removed else "[]")
+    return (f'{{\n  "format": "{DELTA_FORMAT}",\n  "base": {base},\n'
+            f'  "changed": {changed},\n  "removed": {gone}\n}}')
 
 
-def _write_atomic(path: str, chunks) -> None:
+def _undecodable(info: "SnapshotInfo", name: str,
+                 exc: Exception) -> SnapshotCorruption:
+    return SnapshotCorruption(
+        f"v{info.version}: undecodable content in {name}: "
+        f"{type(exc).__name__}: {exc}"
+    )
+
+
+def _fsync_directory(path: str) -> None:
+    """Make a rename inside ``path`` durable."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+def _write_atomic(path: str, chunks: Iterable[str]) -> None:
     """Write a document from its chunk stream via tmp file + rename, so
     a crash mid-write never leaves a truncated version on disk.  The
-    tmp name carries the pid so two writers racing on the same root
-    never stream into each other's half-written file."""
+    tmp file is fsynced before the rename and the directory after it,
+    so after a power loss the name holds either the old document or
+    the complete new one.  The tmp name carries the pid so two writers
+    racing on the same root never stream into each other's
+    half-written file."""
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as handle:
-        for chunk in chunks:
-            handle.write(chunk)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as handle:
+            for chunk in chunks:
+                handle.write(chunk)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+    _fsync_directory(os.path.dirname(path) or ".")
 
 
 @dataclass(frozen=True)
@@ -314,11 +350,8 @@ class SnapshotStore:
         }
         if self._checkpoint_every is not None:
             document["checkpoint_every"] = self._checkpoint_every
-        path = os.path.join(self._root, _MANIFEST)
-        tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "w") as handle:
-            json.dump(document, handle, indent=2)
-        os.replace(tmp, path)
+        _write_atomic(os.path.join(self._root, _MANIFEST),
+                      (json.dumps(document, indent=2),))
 
     def set_meta(self, meta: Dict[str, object]) -> None:
         """Replace the store metadata and persist the manifest."""
@@ -357,6 +390,15 @@ class SnapshotStore:
             )
         return self._versions[version - 1]
 
+    def _target(self, version: Optional[int]) -> SnapshotInfo:
+        """Manifest entry for ``version`` (default: the latest)."""
+        if version is None:
+            latest = self.latest()
+            if latest is None:
+                raise SnapshotError("snapshot store is empty")
+            return latest
+        return self.info(version)
+
     # -- writing ------------------------------------------------------------
 
     def _deltas_since_base(self) -> int:
@@ -368,18 +410,20 @@ class SnapshotStore:
             count += 1
         return count
 
-    def _write_full_document(self, filename: str, dataset) -> str:
-        """Stream the full JSON document to ``filename``, returning its
-        digest (hashed chunk by chunk — one pass, O(1) memory)."""
-        hasher = hashlib.blake2b(digest_size=16)
+    def _verified_parent_chunks(self, parent: SnapshotInfo) -> Dict[int, str]:
+        """``parent`` rebuilt from disk as ``asn -> record_chunk``,
+        verified against its recorded digest exactly as :meth:`load`
+        verifies it."""
+        chunks: Dict[int, str] = {}
 
-        def hashed_chunks():
-            for chunk in iter_json_chunks(dataset):
-                hasher.update(chunk.encode("utf-8"))
-                yield chunk
+        def add(record) -> None:
+            chunks[record.asn] = record_chunk(record)
 
-        _write_atomic(os.path.join(self._root, filename), hashed_chunks())
-        return hasher.hexdigest()
+        self._replay(
+            parent, True, add, lambda asn: chunks.pop(asn, None),
+            lambda: _digest(chunks[asn] for asn in sorted(chunks)),
+        )
+        return chunks
 
     def save(
         self,
@@ -404,13 +448,23 @@ class SnapshotStore:
         ``snapshot.checkpoint`` event when the save was promoted).
 
         ``dataset`` may be any :class:`~repro.core.store.DatasetStore`
-        backend.  Full documents stream chunk by chunk to a tmp file
-        (digested incrementally, then renamed into place); delta saves
-        stream the new side through an ordered merge against the
-        materialized parent, so a store-backed sweep snapshot never
-        holds the new dataset resident.  Both document kinds land
-        atomically (tmp file + rename), and the manifest append detects
-        a concurrent writer before minting a version number.
+        backend.  A full save streams the document chunk by chunk to a
+        tmp file, digested on the way.  A delta save costs two passes:
+
+        * the parent is rebuilt from disk (nearest stored full document
+          plus at most ``checkpoint_every`` deltas) as one encoded chunk
+          per ASN and verified against its recorded digest, exactly as
+          :meth:`load` verifies it — a corrupted chain raises
+          :class:`SnapshotCorruption` before anything is written;
+        * the new dataset is streamed once: each record is encoded once
+          and that chunk is compared with the parent's, fed to the new
+          digest and, on a promoted save, written to the checkpoint.
+          Only the changed chunks accumulate, so a store-backed sweep
+          snapshot never holds the new dataset resident.
+
+        Every document lands atomically (fsynced tmp file + rename +
+        directory fsync), and the manifest append detects a concurrent
+        writer before minting a version number.
         """
         on_disk = self._count_disk_versions()
         if on_disk != len(self._versions):
@@ -429,30 +483,34 @@ class SnapshotStore:
             kind, parent = "full", None
             changed = len(dataset)
             removed: List[int] = []
-            digest = self._write_full_document(filename, dataset)
+            digest = _digest(map(record_chunk, dataset),
+                             os.path.join(self._root, filename))
         else:
             parent = version - 1
-            previous = self.load(parent)
-            changed_items, removed = _delta_by_merge(dataset, previous)
-            filename = f"v{version:04d}.delta.json"
-            payload = json.dumps(
-                {
-                    "format": DELTA_FORMAT,
-                    "base": parent,
-                    "changed": changed_items,
-                    "removed": removed,
-                },
-                indent=2,
-            )
-            _write_atomic(os.path.join(self._root, filename), (payload,))
-            kind, changed = "delta", len(changed_items)
+            previous = self._verified_parent_chunks(self._versions[-1])
+            changed_chunks: List[str] = []
+
+            def new_chunks() -> Iterator[str]:
+                for record in dataset:
+                    chunk = record_chunk(record)
+                    if previous.pop(record.asn, None) != chunk:
+                        changed_chunks.append(chunk)
+                    yield chunk
+
             if (self._checkpoint_every is not None
                     and self._deltas_since_base() + 1
                     >= self._checkpoint_every):
                 checkpoint = f"v{version:04d}.ckpt.json"
-                digest = self._write_full_document(checkpoint, dataset)
-            else:
-                digest = dataset_digest(dataset)
+            digest = _digest(new_chunks(), None if checkpoint is None
+                             else os.path.join(self._root, checkpoint))
+            # Parent ASNs the new side never reached were removed.
+            removed = sorted(previous)
+            filename = f"v{version:04d}.delta.json"
+            _write_atomic(
+                os.path.join(self._root, filename),
+                (_delta_document(parent, changed_chunks, removed),),
+            )
+            kind, changed = "delta", len(changed_chunks)
         info = SnapshotInfo(
             version=version,
             kind=kind,
@@ -504,10 +562,29 @@ class SnapshotStore:
         try:
             with open(path) as handle:
                 return handle.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise SnapshotCorruption(
                 f"cannot read v{version} document {path}: {exc}"
             ) from exc
+
+    def _read_document(self, filename: str, version: int,
+                       kind: str) -> Dict[str, object]:
+        """Parse one stored ``dataset`` or ``delta`` document; anything
+        unreadable or of the wrong format is :class:`SnapshotCorruption`."""
+        expected = DATASET_FORMAT if kind == "dataset" else DELTA_FORMAT
+        text = self._read_file(filename, version)
+        try:
+            document = json.loads(text)
+        except ValueError as exc:
+            raise SnapshotCorruption(
+                f"v{version}: {filename} is not valid JSON: {exc}"
+            ) from exc
+        found = document.get("format") if isinstance(document, dict) else None
+        if found != expected:
+            raise SnapshotCorruption(
+                f"v{version}: unsupported {kind} format {found!r}"
+            )
+        return document
 
     def _full_document_name(
         self,
@@ -520,16 +597,6 @@ class SnapshotStore:
         if use_checkpoints and info.checkpoint is not None:
             return info.checkpoint
         return None
-
-    def _full_items(self, name: str, version: int) -> Iterator[dict]:
-        """Record items of a stored full document, in file order."""
-        document = json.loads(self._read_file(name, version))
-        if document.get("format") != DATASET_FORMAT:
-            raise SnapshotCorruption(
-                f"v{version}: unsupported document format "
-                f"{document.get('format')!r}"
-            )
-        return iter(document["records"])
 
     def changes(self, version: int) -> Tuple[List[dict], List[int]]:
         """The recorded delta of one version: ``(changed record items,
@@ -544,12 +611,7 @@ class SnapshotStore:
             raise SnapshotError(
                 f"v{version} is a full snapshot; it records no delta"
             )
-        delta = json.loads(self._read_file(info.filename, info.version))
-        if delta.get("format") != DELTA_FORMAT:
-            raise SnapshotCorruption(
-                f"v{version}: unsupported delta format "
-                f"{delta.get('format')!r}"
-            )
+        delta = self._read_document(info.filename, info.version, "delta")
         return (
             list(delta.get("changed", ())),
             [int(asn) for asn in delta.get("removed", ())],
@@ -595,6 +657,72 @@ class SnapshotStore:
         except Exception:  # pragma: no cover - the original error wins
             pass
 
+    def _replay(
+        self,
+        target: SnapshotInfo,
+        use_checkpoints: bool,
+        add: Callable[[object], None],
+        remove: Callable[[int], object],
+        digest: Callable[[], str],
+    ) -> None:
+        """Rebuild ``target`` from disk and verify it: the one chain walk
+        behind both :meth:`load` and the parent pass of :meth:`save`.
+
+        Walks back to the nearest stored full document (a checkpoint,
+        unless ``use_checkpoints`` is false, or a full snapshot), feeds
+        its records and then each delta's removals and changed records
+        forward through ``add(record)`` / ``remove(asn)``, and finally
+        checks ``digest()`` — the caller's digest of what it rebuilt —
+        against the version's recorded digest.  A missing parent, an
+        unreadable or malformed document, an undecodable item, a
+        manifest entry with no digest or a digest mismatch all raise
+        :class:`SnapshotCorruption`.
+        """
+        chain: List[SnapshotInfo] = []
+        info = target
+        base_name = self._full_document_name(info, use_checkpoints)
+        while base_name is None:
+            chain.append(info)
+            if info.parent is None:
+                raise SnapshotCorruption(
+                    f"delta v{info.version} has no parent"
+                )
+            info = self.info(info.parent)
+            base_name = self._full_document_name(info, use_checkpoints)
+        documents = [(info, "dataset", base_name)] + [
+            (delta_info, "delta", delta_info.filename)
+            for delta_info in reversed(chain)
+        ]
+        for source, kind, name in documents:
+            document = self._read_document(name, source.version, kind)
+            try:
+                if kind == "dataset":
+                    removed: List[int] = []
+                    items = iter(document["records"])
+                else:
+                    removed = [int(asn) for asn in document.get("removed", ())]
+                    items = iter(document.get("changed", ()))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise _undecodable(source, name, exc) from exc
+            for asn in removed:
+                remove(asn)
+            for item in items:
+                try:
+                    record = record_from_item(item)
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise _undecodable(source, name, exc) from exc
+                add(record)
+        if not target.digest:
+            raise SnapshotCorruption(
+                f"v{target.version}: manifest entry records no "
+                f"digest; refusing to trust an unverifiable document"
+            )
+        if digest() != target.digest:
+            raise SnapshotCorruption(
+                f"v{target.version}: materialized document does not "
+                f"match its recorded digest"
+            )
+
     def load(
         self,
         version: Optional[int] = None,
@@ -623,57 +751,21 @@ class SnapshotStore:
         check streams the result's chunk stream, so it never
         materializes the document either way.
         """
-        if version is None:
-            latest = self.latest()
-            if latest is None:
-                raise SnapshotError("snapshot store is empty")
-            version = latest.version
-        target = self.info(version)
-
-        chain: List[SnapshotInfo] = []
-        info = target
-        base_name = self._full_document_name(info, use_checkpoints)
-        while base_name is None:
-            chain.append(info)
-            if info.parent is None:
-                raise SnapshotCorruption(
-                    f"delta v{info.version} has no parent"
-                )
-            info = self.info(info.parent)
-            base_name = self._full_document_name(info, use_checkpoints)
+        target = self._target(version)
         if into is not None and len(into):
             raise SnapshotError(
                 "load target store is not empty: refusing to merge "
                 f"v{target.version} into {len(into)} existing records"
             )
         dataset = ASdbDataset() if into is None else into
-        try:
-            for item in self._full_items(base_name, info.version):
-                dataset.add(record_from_item(item))
-            for delta_info in reversed(chain):
-                delta = json.loads(
-                    self._read_file(delta_info.filename, delta_info.version)
-                )
-                if delta.get("format") != DELTA_FORMAT:
-                    raise SnapshotCorruption(
-                        f"v{delta_info.version}: unsupported delta format "
-                        f"{delta.get('format')!r}"
-                    )
-                for asn in delta.get("removed", ()):
-                    dataset.remove(int(asn))
-                for item in delta.get("changed", ()):
-                    dataset.add(record_from_item(item))
+
+        def digest() -> str:
             dataset.flush()
-            if not target.digest:
-                raise SnapshotCorruption(
-                    f"v{target.version}: manifest entry records no "
-                    f"digest; refusing to trust an unverifiable document"
-                )
-            if dataset_digest(dataset) != target.digest:
-                raise SnapshotCorruption(
-                    f"v{target.version}: materialized document does not "
-                    f"match its recorded digest"
-                )
+            return dataset_digest(dataset)
+
+        try:
+            self._replay(target, use_checkpoints, dataset.add,
+                         dataset.remove, digest)
         except BaseException:
             if into is not None:
                 self._rollback(into)
@@ -694,12 +786,8 @@ class SnapshotStore:
         ``dataset`` is exactly what :meth:`load` would produce (same
         ``into`` semantics, same digest verification).
         """
-        if version is None:
-            latest = self.latest()
-            if latest is None:
-                raise SnapshotError("snapshot store is empty")
-            version = latest.version
-        return self.load(version, into=into), self.info(version)
+        info = self._target(version)
+        return self.load(info.version, into=into), info
 
     @contextmanager
     def materialize_pair(self, old_version: int, new_version: int):
@@ -742,12 +830,7 @@ class SnapshotStore:
         deltas are materialized first (which re-serializes through the
         same encoder, so the bytes still match).
         """
-        if version is None:
-            latest = self.latest()
-            if latest is None:
-                raise SnapshotError("snapshot store is empty")
-            version = latest.version
-        info = self.info(version)
+        info = self._target(version)
         name = self._full_document_name(info)
         if name is not None:
             return self._read_file(name, info.version)

@@ -53,8 +53,9 @@ pair from ROADMAP item 3::
 
 The HTTP layer is a minimal HTTP/1.1 implementation over
 ``asyncio.start_server`` — GET/POST only, keep-alive, Content-Length
-framing — because the serving contract (stdlib only) rules out real
-web frameworks.  All routing and response logic lives in the
+framing (a non-numeric or negative length is answered 400, one above
+:data:`MAX_BODY_BYTES` 413, and the connection closed) — because
+the serving contract (stdlib only) rules out real web frameworks.  All routing and response logic lives in the
 synchronous, thread-safe :meth:`ServingApp.handle_request`, so tests
 and benchmarks can drive the service without sockets.
 
@@ -97,8 +98,13 @@ _REASONS = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    413: "Content Too Large",
     503: "Service Unavailable",
 }
+
+#: Largest request body the server reads (and discards) before
+#: answering; a longer declared ``Content-Length`` gets a 413.
+MAX_BODY_BYTES = 1 << 20
 
 #: Endpoint slugs used as the metrics label — bounded cardinality, no
 #: raw paths.
@@ -768,8 +774,24 @@ class ServingApp:
                     if sep:
                         header_map[name.strip().lower()] = value.strip()
                 # Discard any request body so the next request in the
-                # pipeline frames correctly.
-                length = int(header_map.get("content-length", 0) or 0)
+                # pipeline frames correctly.  A length that cannot frame
+                # the body leaves the stream unframeable: answer, close.
+                length_text = header_map.get("content-length", "0") or "0"
+                length = (int(length_text) if length_text.isascii()
+                          and length_text.isdigit() else -1)
+                rejection = None
+                if length < 0:
+                    rejection = 400, "invalid Content-Length"
+                elif length > MAX_BODY_BYTES:
+                    rejection = 413, (f"request body over "
+                                      f"{MAX_BODY_BYTES} bytes")
+                if rejection is not None:
+                    writer.write(self._encode(
+                        rejection[0], {"error": rejection[1]},
+                        {"Connection": "close"},
+                    ))
+                    await writer.drain()
+                    break
                 if length:
                     await reader.readexactly(length)
                 connection = header_map.get("connection", "").lower()

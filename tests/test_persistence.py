@@ -1,6 +1,9 @@
 """Tests for dataset persistence (CSV and JSON round-trips)."""
 
+import json
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import (
     ASdbDataset,
@@ -10,6 +13,8 @@ from repro.core import (
     dataset_from_json,
     dataset_to_json,
 )
+from repro.core.persistence import encode_item
+from repro.core.snapshots import _delta_document
 from repro.taxonomy import Label, LabelSet
 
 
@@ -236,3 +241,61 @@ class TestDatasetDiff:
         )
         diff = built.asdb.dataset.diff(snapshot)
         assert target in diff.relabeled
+
+
+_ITEM_KEYS = ("asn", "labels", "stage", "domain", "sources", "org_key",
+              "degraded_sources")
+_optional_text = st.none() | st.text()
+#: Items of the record_to_item shape with arbitrary values: non-ASCII,
+#: control characters and quotes all come from st.text().
+_items = st.fixed_dictionaries(
+    {
+        "asn": st.integers(min_value=0, max_value=2**32 - 1),
+        "labels": st.lists(
+            st.fixed_dictionaries(
+                {"layer1": st.text(), "layer2": _optional_text}
+            ).map(lambda entry: {"layer1": entry["layer1"],
+                                 "layer2": entry["layer2"]}),
+            max_size=4,
+        ),
+        "stage": st.text(),
+        "domain": _optional_text,
+        "sources": st.lists(st.text(), max_size=4),
+        "org_key": _optional_text,
+    },
+    optional={"degraded_sources": st.lists(st.text(), max_size=3)},
+).map(lambda item: {key: item[key] for key in _ITEM_KEYS if key in item})
+
+
+def _reference_chunk(item):
+    """The reference encoding: json.dumps re-indented to record depth."""
+    body = json.dumps(item, indent=2)
+    return "\n".join("    " + line for line in body.splitlines())
+
+
+class TestFastEncoder:
+    @settings(max_examples=300)
+    @given(_items)
+    def test_encode_item_matches_json_dumps(self, item):
+        assert encode_item(item) == _reference_chunk(item)
+
+    @settings(max_examples=100)
+    @given(
+        st.integers(min_value=1, max_value=10**6),
+        st.lists(_items, max_size=4),
+        st.lists(st.integers(min_value=0, max_value=2**32 - 1),
+                 max_size=4),
+    )
+    def test_delta_document_matches_json_dumps(self, base, items, removed):
+        expected = json.dumps(
+            {"format": "asdb-repro/delta/1", "base": base,
+             "changed": items, "removed": removed},
+            indent=2,
+        )
+        chunks = [encode_item(item) for item in items]
+        assert _delta_document(base, chunks, removed) == expected
+
+    def test_degraded_sources_present_but_empty(self):
+        item = {"asn": 7, "labels": [], "stage": "x", "domain": None,
+                "sources": [], "org_key": None, "degraded_sources": []}
+        assert encode_item(item) == _reference_chunk(item)

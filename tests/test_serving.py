@@ -17,6 +17,7 @@ import asyncio
 import http.client
 import json
 import random
+import socket
 import threading
 import time
 
@@ -26,6 +27,7 @@ from repro import SystemConfig, WorldConfig, build_asdb, generate_world
 from repro.core import ASdbRecord, SnapshotStore, Stage
 from repro.core.database import ASdbDataset
 from repro.obs import MetricsRegistry, RunLog, read_ledger
+from repro.serving.app import MAX_BODY_BYTES
 from repro.serving import (
     OFFER_FULL,
     OFFER_PENDING,
@@ -553,6 +555,50 @@ class TestHttpEndToEnd:
                     time.sleep(0.05)
             assert status == 200
             assert body["record"]["asn"] == asn
+
+
+def _raw_exchange(service, raw):
+    """Send raw bytes and read until the server closes the connection."""
+    with socket.create_connection(service.address, timeout=10) as sock:
+        sock.sendall(raw)
+        received = []
+        while True:
+            data = sock.recv(65536)
+            if not data:
+                return b"".join(received)
+            received.append(data)
+
+
+class TestHttpFraming:
+    """Every Content-Length gets a framed answer: a length that cannot
+    frame the body is answered and the connection closed, never dropped
+    on an unhandled exception."""
+
+    @pytest.mark.parametrize("length, status", [
+        ("abc", 400),
+        ("-5", 400),
+        (str(MAX_BODY_BYTES + 1), 413),
+    ], ids=["non-numeric", "negative", "too-large"])
+    def test_unframeable_length_answered_then_closed(self, length, status):
+        app = ServingApp(index_from_store(_dataset([_record(1)])))
+        request = (f"POST /refresh HTTP/1.1\r\nHost: t\r\n"
+                   f"Content-Length: {length}\r\n\r\n").encode()
+        with _HttpService(app) as service:
+            response = _raw_exchange(service, request)
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.startswith(f"HTTP/1.1 {status} ".encode())
+        assert b"Connection: close" in head
+        assert "error" in json.loads(body)
+
+    def test_small_body_is_discarded_and_pipeline_continues(self):
+        app = ServingApp(index_from_store(_dataset([_record(1)])))
+        request = (b"GET /healthz HTTP/1.1\r\nHost: t\r\n"
+                   b"Content-Length: 5\r\n\r\nhello"
+                   b"GET /version HTTP/1.1\r\nHost: t\r\n"
+                   b"Connection: close\r\n\r\n")
+        with _HttpService(app) as service:
+            response = _raw_exchange(service, request)
+        assert response.count(b"HTTP/1.1 200 OK") == 2
 
 
 class TestSnapshotServing:

@@ -2,6 +2,8 @@
 engine (the Section-5.3 maintenance tentpole)."""
 
 import json
+import os
+import stat
 
 import pytest
 
@@ -146,6 +148,85 @@ class TestSnapshotStore:
         assert diff.relabeled == (1,)
         assert diff.stage_changed == (2,)
         assert diff.changed_asns == (1, 2, 5, 7)
+
+
+def _release(n):
+    """Release ``n`` of a growing chain: every record's domain changes
+    each release, so every delta records changed items."""
+    return _dataset(*(
+        _record(asn, domain=f"r{n}.example") for asn in range(1, n + 3)
+    ))
+
+
+class TestSaveVerifiesParentChain:
+    """A delta save rebuilds its parent from disk and checks it against
+    the recorded digest; a tampered chain fails before anything is
+    written."""
+
+    @pytest.mark.parametrize("tampered, versions", [
+        ("v0001.full.json", 3),    # the chain's base full document
+        ("v0004.ckpt.json", 6),    # a checkpoint the chain starts from
+        ("v0005.delta.json", 6),   # a delta between base and parent
+    ], ids=["base-full", "checkpoint", "intervening-delta"])
+    def test_tampered_parent_chain_refuses_save(
+        self, tmp_path, tampered, versions
+    ):
+        root = tmp_path / "store"
+        store = SnapshotStore(root, checkpoint_every=3)
+        for n in range(1, versions + 1):
+            store.save(_release(n))
+        path = root / tampered
+        document = json.loads(path.read_text())
+        # A record no later delta touches, so the tamper survives the
+        # replay into the parent.
+        items = document.get("records") or document["changed"]
+        items.append(dict(items[0], asn=999))
+        path.write_text(json.dumps(document, indent=2))
+        files_before = sorted(os.listdir(root))
+
+        with pytest.raises(SnapshotCorruption):
+            store.save(_release(versions + 1))
+
+        assert sorted(os.listdir(root)) == files_before
+        assert len(store) == versions
+        assert len(SnapshotStore(root)) == versions
+
+    def test_unparseable_parent_document_is_corruption(self, tmp_path):
+        root = tmp_path / "store"
+        store = SnapshotStore(root)
+        store.save(_release(1))
+        store.save(_release(2))
+        (root / "v0002.delta.json").write_text('{"format": ')
+        with pytest.raises(SnapshotCorruption, match="not valid JSON"):
+            store.save(_release(3))
+        with pytest.raises(SnapshotCorruption, match="not valid JSON"):
+            store.load(2)
+        assert len(SnapshotStore(root)) == 2
+
+    def test_delta_save_fsyncs_documents_and_directory(
+        self, tmp_path, monkeypatch
+    ):
+        root = tmp_path / "store"
+        store = SnapshotStore(root)
+        store.save(_release(1))
+        synced = []
+        real_fsync = os.fsync
+
+        def recording_fsync(fd):
+            mode, inode = os.fstat(fd)[stat.ST_MODE], os.fstat(fd).st_ino
+            synced.append(("dir" if stat.S_ISDIR(mode) else "file", inode))
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        info = store.save(_release(2))
+        assert info.kind == "delta"
+        directory = ("dir", os.stat(root).st_ino)
+        for name in (info.filename, "manifest.json"):
+            # The renamed file keeps the inode its tmp file was synced
+            # under; the directory is synced after the rename.
+            written = ("file", os.stat(root / name).st_ino)
+            assert written in synced
+            assert directory in synced[synced.index(written) + 1:]
 
 
 class TestIncrementalRefresh:
