@@ -71,7 +71,7 @@ Observability flags (``classify`` and ``lookup``):
 ``--runlog FILE``
     (``classify``, ``snapshot``, ``refresh``) Persist a structured
     NDJSON event ledger for the run — spans (including worker-side
-    spans from the thread/process pools), per-AS traces (implies
+    spans from the thread pool), per-AS traces (implies
     ``--trace``), resource samples, breaker transitions, and an
     end-of-run summary embedding the full metrics registry.  Inspect
     it later with ``repro report LEDGER``, diff two runs with ``repro
@@ -96,13 +96,6 @@ Storage flags:
     ASNs: the dataset store is flushed after each window, so a
     store-backed sweep holds O(batch) records resident with
     byte-identical results.
-
-Performance flags (``classify``):
-
-``--executor {thread,process}``
-    Batch executor for ``--workers N``: ``process`` chunks the
-    CPU-bound ML scoring stage over a process pool; output is
-    byte-identical either way.
 
 Resilience flags (``classify``):
 
@@ -179,11 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
     classify.add_argument("--workers", type=int, default=1,
                           help="worker threads for the batch engine "
                           "(output is byte-identical to --workers 1)")
-    classify.add_argument("--executor", default="thread",
-                          choices=("thread", "process"),
-                          help="batch executor: 'process' chunks the "
-                          "CPU-bound ML scoring over a process pool "
-                          "(output is byte-identical to 'thread')")
     classify.add_argument("--profile", nargs="?", const=5, type=int,
                           default=None, metavar="N",
                           help="print the top-N slowest pipeline stages "
@@ -412,11 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--version", type=int, default=None,
                        help="pin a snapshot version (default: latest "
                        "at each rebuild)")
-    serve.add_argument("--full-refresh", action="store_true",
-                       help="force POST /refresh to rebuild from "
-                       "scratch instead of delta-applying new "
-                       "releases onto the live index (snapshot "
-                       "serving only)")
     serve.add_argument("--store", default=None, metavar="URL",
                        help="serve an existing dataset store "
                        "(sqlite:PATH / json:PATH); reopened on each "
@@ -614,7 +597,6 @@ def _cmd_classify(args: argparse.Namespace) -> int:
                 metrics=registry,
                 trace=trace,
                 workers=args.workers,
-                executor=args.executor,
                 faults=faults,
                 retry=retry,
                 runlog=runlog if runlog.enabled else None,
@@ -1249,9 +1231,8 @@ def _build_serving_app(args: argparse.Namespace, registry, runlog):
             print(f"error: {exc}", file=sys.stderr)
             return 2
         # Delta-apply refresh only makes sense tracking the latest
-        # release: a pinned --version always re-serves that version,
-        # and --full-refresh opts out explicitly.
-        incremental = args.version is None and not args.full_refresh
+        # release: a pinned --version always re-serves that version.
+        incremental = args.version is None
         return ServingApp(
             index, rebuild=rebuild, metrics=registry,
             runlog=runlog, retry_after=args.retry_after,

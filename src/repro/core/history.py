@@ -24,7 +24,7 @@ or before D (``through_day <= D``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .snapshots import SnapshotError, SnapshotInfo, SnapshotStore
 
@@ -36,6 +36,7 @@ __all__ = [
     "TimelineEvent",
     "categorization",
     "event_for",
+    "fold_timelines",
 ]
 
 #: Churn-state label for an AS not present in a release.
@@ -111,9 +112,8 @@ def event_for(
     """The timeline event taking an AS from item ``old`` to ``new`` at
     release ``info``, or None when nothing changed.
 
-    Shared by the full-history scans below and the serving layer's
-    incremental :meth:`~repro.serving.index.HistoryIndex.extend`, so
-    both paths mint byte-identical events."""
+    The step of :func:`fold_timelines`, which every timeline query and
+    the serving layer's history index run."""
     if old is None and new is None:
         return None
     if old is None:
@@ -139,6 +139,47 @@ def event_for(
             and old.get("stage") != new.get("stage")
         ),
     )
+
+
+def fold_timelines(
+    timelines: Dict[int, Tuple[TimelineEvent, ...]],
+    steps: Iterable[Tuple[SnapshotInfo, Sequence[dict], Sequence[int]]],
+) -> Dict[int, Tuple[TimelineEvent, ...]]:
+    """Fold release versions onto per-AS timelines (copy-on-write).
+
+    ``steps`` yields ``(info, items, removed ASNs)`` in version order.
+    An AS's current item is the last event of its timeline, so a delta
+    version costs O(changed) and untouched ASes share their event tuples
+    with ``timelines``, which is left as it was.  A ``full`` version
+    pins the complete state: ``items`` is its whole document, and every
+    present AS missing from it gets a ``removed`` event — the only step
+    that derives the set of present ASes.  Both the bulk history build
+    and the serving layer's incremental extension run this one fold, so
+    they mint identical events.
+    """
+    timelines = dict(timelines)
+
+    def apply(info: SnapshotInfo, asn: int,
+              item: Optional[Dict[str, object]]) -> None:
+        timeline = timelines.get(asn, ())
+        event = event_for(info, timeline[-1].item if timeline else None,
+                          item)
+        if event is not None:
+            timelines[asn] = timeline + (event,)
+
+    for info, items, removed in steps:
+        if info.kind == "full":
+            by_asn = {int(item["asn"]): item for item in items}
+            removed = sorted(
+                asn for asn, timeline in timelines.items()
+                if timeline[-1].item is not None and asn not in by_asn
+            )
+            items = [by_asn[asn] for asn in sorted(by_asn)]
+        for asn in removed:
+            apply(info, int(asn), None)
+        for item in items:
+            apply(info, int(item["asn"]), item)
+    return timelines
 
 
 @dataclass(frozen=True)
@@ -244,78 +285,42 @@ class ReleaseHistory:
 
     # -- trajectories -------------------------------------------------------
 
-    def _full_state(self, info: SnapshotInfo) -> Dict[int, dict]:
-        """ASN -> item map of a version that stores a full document."""
-        return {
-            int(item["asn"]): item
-            for item in self._store._read_document(
-                info.filename, info.version, "dataset")["records"]
-        }
-
     def timeline(self, asn: int) -> Tuple[TimelineEvent, ...]:
         """One AS's per-version classification trajectory.
 
         Scans the recorded delta chain — full documents are parsed only
         at ``full`` versions (v1 and explicit full saves); checkpointed
         deltas are scanned as the deltas they are, and no dataset is
-        ever materialized.  Empty when the AS never appears.
+        ever materialized.  The same :func:`fold_timelines` as
+        :meth:`timelines`, over each version's entries for this AS
+        alone.  Empty when the AS never appears.
         """
-        events: List[TimelineEvent] = []
-        current: Optional[Dict[str, object]] = None
-        for info in self._store.versions():
-            if info.kind == "full":
-                item: Optional[dict] = self._full_state(info).get(asn)
-            else:
-                changed, removed = self._store.changes(info.version)
-                item = current
-                for candidate in changed:
-                    if int(candidate["asn"]) == asn:
-                        item = candidate
-                        break
-                else:
-                    if asn in removed:
-                        item = None
-            event = event_for(info, current, item)
-            if event is not None:
-                events.append(event)
-            current = item
-        return tuple(events)
+        steps = (
+            (info, [item for item in items if int(item["asn"]) == asn],
+             [gone for gone in removed if gone == asn])
+            for info, items, removed in self._steps()
+        )
+        return fold_timelines({}, steps).get(asn, ())
 
     def timelines(self) -> Dict[int, Tuple[TimelineEvent, ...]]:
         """Every AS's trajectory, in one pass over the version chain.
 
-        The serving layer's bulk builder: one scan of the history
-        yields the same events :meth:`timeline` would produce per AS.
-        Full versions are treated as pinning the complete state (ASes
-        absent from a full document get a ``removed`` event).
+        The serving layer's bulk builder: one :func:`fold_timelines`
+        over every version.
         """
-        events: Dict[int, List[TimelineEvent]] = {}
-        current: Dict[int, dict] = {}
+        return fold_timelines({}, self._steps())
 
-        def apply(info: SnapshotInfo, asn: int,
-                  item: Optional[dict]) -> None:
-            event = event_for(info, current.get(asn), item)
-            if event is not None:
-                events.setdefault(asn, []).append(event)
-            if item is None:
-                current.pop(asn, None)
-            else:
-                current[asn] = item
-
+    def _steps(self) -> Iterator[Tuple[SnapshotInfo, List[dict], List[int]]]:
+        """``(info, items, removed ASNs)`` per version, in the shape
+        :func:`fold_timelines` consumes: a ``full`` version yields its
+        complete document (and no removals), a delta its recorded
+        change set."""
         for info in self._store.versions():
             if info.kind == "full":
-                state = self._full_state(info)
-                for asn in sorted(set(current) - set(state)):
-                    apply(info, asn, None)
-                for asn in sorted(state):
-                    apply(info, asn, state[asn])
+                yield info, self._store._read_document(
+                    info.filename, info.version, "dataset")["records"], []
             else:
-                changed, removed = self._store.changes(info.version)
-                for asn in removed:
-                    apply(info, asn, None)
-                for item in changed:
-                    apply(info, int(item["asn"]), item)
-        return {asn: tuple(seq) for asn, seq in events.items()}
+                yield (info, *self._store.changes(info.version))
 
     # -- churn --------------------------------------------------------------
 

@@ -63,9 +63,8 @@ from ..obs.trace import trace_builder
 from .cache import org_cache_key
 from .database import ASdbRecord
 from .pipeline import REQUEST_ASN_MATCH, REQUEST_ML, REQUEST_SOURCES
-from .procpool import map_chunked
 
-__all__ = ["Cluster", "plan_clusters", "run_batch", "map_chunked"]
+__all__ = ["Cluster", "plan_clusters", "run_batch"]
 
 
 @dataclass(frozen=True)
@@ -226,7 +225,6 @@ def run_batch(
             workers=workers,
             asns=sum(len(cluster.members) for cluster in clusters),
             clusters=len(clusters),
-            executor=asdb._executor,
         )
         batch_id = batch_span.span_id
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -268,7 +266,7 @@ def run_batch(
                 ]
                 while pending:
                     _serve_round(
-                        asdb, pool, pending, m_phase_seconds, workers,
+                        asdb, pool, pending, m_phase_seconds,
                         runlog=runlog, parent_id=batch_id,
                     )
                     pending = [
@@ -345,19 +343,12 @@ def _classify_chain(
 
 
 def _serve_round(
-    asdb, pool, pending, m_phase_seconds, workers=1,
-    runlog=None, parent_id=None,
+    asdb, pool, pending, m_phase_seconds, runlog=None, parent_id=None,
 ) -> None:
     """Serve one round of suspended requests, one bulk call per kind.
 
-    With the ``"process"`` executor configured on the system, the ML
-    bulk call chunks its CPU-bound scoring over ``workers`` processes
-    (see :mod:`repro.core.procpool`); every other stage stays on the
-    thread pool, where the I/O-shaped work already scales.  With a
-    ledger configured, each bulk phase emits a ``batch.<phase>`` span
-    under the batch span, and the ML phase threads a picklable span
-    context into the process pool so worker-side chunk spans land in
-    the same causal tree.
+    With a ledger configured, each bulk phase emits a ``batch.<phase>``
+    span under the batch span.
     """
     if runlog is None:
         runlog = asdb.runlog
@@ -380,17 +371,9 @@ def _serve_round(
         with m_phase_seconds.time(phase="ml"), \
                 runlog.span("batch.ml", parent=parent_id) as span:
             span.note(domains=len(waiting))
-            span_sink: List[Dict] = []
             verdicts = asdb._ml.classify_domains(
-                [state.request[1] for state in waiting],
-                process_workers=(
-                    workers if asdb._executor == "process" else 0
-                ),
-                span_context=runlog.span_context(span.span_id),
-                span_sink=span_sink,
+                [state.request[1] for state in waiting]
             )
-            for record in span_sink:
-                runlog.emit_span_record(record)
             replies.extend(zip(waiting, verdicts))
 
     waiting = by_kind.get(REQUEST_SOURCES, ())

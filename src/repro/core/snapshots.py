@@ -310,19 +310,30 @@ class SnapshotStore:
         every = document.get("checkpoint_every")
         self._checkpoint_every = int(every) if every else None
 
-    def _count_disk_versions(self) -> int:
-        """How many versions the on-disk manifest holds right now."""
+    def _disk_manifest(self) -> Dict[str, object]:
+        """The on-disk manifest document as it stands right now."""
         path = os.path.join(self._root, _MANIFEST)
         if not os.path.exists(path):
-            return 0
+            return {}
         try:
             with open(path) as handle:
-                document = json.load(handle)
+                return json.load(handle)
         except (OSError, ValueError) as exc:
             raise SnapshotError(
                 f"cannot re-read manifest {path}: {exc}"
             ) from exc
-        return len(document.get("versions", ()))
+
+    def _manifest_ends_with(self, info: SnapshotInfo) -> bool:
+        """Whether the on-disk manifest's newest entry is ``info``."""
+        try:
+            versions = self._disk_manifest().get("versions", [])
+        except SnapshotError:
+            return False
+        return versions[-1:] == [json.loads(json.dumps(info.to_manifest()))]
+
+    def _count_disk_versions(self) -> int:
+        """How many versions the on-disk manifest holds right now."""
+        return len(self._disk_manifest().get("versions", ()))
 
     def _write_manifest(self, expected_on_disk: Optional[int] = None) -> None:
         """Persist the manifest atomically.
@@ -529,8 +540,12 @@ class SnapshotStore:
         self._versions.append(info)
         try:
             self._write_manifest(expected_on_disk=version - 1)
-        except SnapshotError:
-            self._versions.pop()
+        except BaseException:
+            # Keep the handle equal to what a fresh handle would load:
+            # drop the new version unless its manifest already landed
+            # (a failed directory fsync comes after the rename).
+            if not self._manifest_ends_with(info):
+                self._versions.pop()
             raise
         if runlog is not None:
             runlog.emit(

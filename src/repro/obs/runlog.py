@@ -23,9 +23,8 @@ seconds since the run started.  Core event types:
 ``span``
     One completed operation: ``span_id``, ``parent_id``, ``name``,
     ``duration``, ``status``, ``attributes``, and a ``worker`` stanza
-    (kind ``main``/``thread``/``process``, thread name or pid) so
-    events emitted from pool workers stitch into one causal tree under
-    the run id.
+    (kind ``main``/``thread``, thread name and pid) so events emitted
+    from pool workers stitch into one causal tree under the run id.
 ``as.trace``
     One AS's :class:`~repro.obs.trace.ClassificationTrace` (spans,
     error, tags) — the per-stage substrate ``repro report`` aggregates.
@@ -44,11 +43,8 @@ version), ``serve.queue`` (each background drain of the on-demand
 classification queue), ``serve.rebuild`` spans around index
 materialization, and ``serve.stop``.
 
-Span identity crosses executors as a plain picklable mapping
-(:meth:`RunLog.span_context`); process-pool workers time their chunk
-against it and the parent emits the returned record verbatim
-(:func:`repro.core.procpool.map_chunked`).  Thread-pool workers write
-through the (lock-protected) ledger directly.
+Thread-pool workers write through the (lock-protected) ledger
+directly.
 
 Like every ``repro.obs`` facility the ledger is opt-in and inert by
 default: :data:`NULL_RUNLOG` accepts the full API and records nothing,
@@ -257,11 +253,6 @@ class RunLog:
             )
             self._handle.flush()
 
-    def emit_span_record(self, record: Mapping[str, object]) -> None:
-        """Emit a worker-produced span record (e.g. from a process-pool
-        chunk) verbatim under the ``span`` event type."""
-        self.emit("span", **dict(record))
-
     def span(
         self, name: str, parent: Optional[str] = None
     ) -> _RunSpan:
@@ -271,15 +262,6 @@ class RunLog:
             self._span_counter += 1
             span_id = f"s{self._span_counter:04d}"
         return _RunSpan(self, span_id, parent, name)
-
-    def span_context(self, parent: Optional[str]) -> Dict[str, object]:
-        """A picklable span context for cross-process propagation.
-
-        Process-pool workers cannot reach this ledger; they time their
-        work against this mapping and return span records the parent
-        emits with :meth:`emit_span_record`.
-        """
-        return {"run": self.run_id, "parent_id": parent}
 
     # -- resource sampling --------------------------------------------------
 
@@ -439,14 +421,8 @@ class NullRunLog:
     def emit(self, event: str, **fields: object) -> None:
         return None
 
-    def emit_span_record(self, record: Mapping[str, object]) -> None:
-        return None
-
     def span(self, name: str, parent=None) -> _NullRunSpan:
         return _NULL_RUN_SPAN
-
-    def span_context(self, parent=None) -> None:
-        return None
 
     def sample_resources(self, providers=None, phase: str = "") -> None:
         return None

@@ -54,10 +54,13 @@ pair from ROADMAP item 3::
 The HTTP layer is a minimal HTTP/1.1 implementation over
 ``asyncio.start_server`` — GET/POST only, keep-alive, Content-Length
 framing (a non-numeric or negative length is answered 400, one above
-:data:`MAX_BODY_BYTES` 413, and the connection closed) — because
-the serving contract (stdlib only) rules out real web frameworks.  All routing and response logic lives in the
-synchronous, thread-safe :meth:`ServingApp.handle_request`, so tests
-and benchmarks can drive the service without sockets.
+:data:`MAX_BODY_BYTES` 413, a head over :data:`MAX_HEAD_BYTES` 431, a
+head or body not completed within :data:`HEAD_TIMEOUT_S` 408, and the
+connection closed; an idle keep-alive connection is closed quietly
+after the same timeout) — because the serving contract (stdlib only)
+rules out real web frameworks.  All routing and response logic lives
+in the synchronous, thread-safe :meth:`ServingApp.handle_request`, so
+tests and benchmarks can drive the service without sockets.
 
 Observability: requests meter ``asdb_serve_requests_total`` /
 ``asdb_serve_seconds`` per endpoint, swaps meter
@@ -98,13 +101,25 @@ _REASONS = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    408: "Request Timeout",
     413: "Content Too Large",
+    431: "Request Header Fields Too Large",
     503: "Service Unavailable",
 }
 
 #: Largest request body the server reads (and discards) before
 #: answering; a longer declared ``Content-Length`` gets a 413.
 MAX_BODY_BYTES = 1 << 20
+
+#: Largest request head (request line plus headers) the server buffers;
+#: a head that runs past it without ending gets a 431.
+MAX_HEAD_BYTES = 1 << 16
+
+#: Seconds a connection may sit idle before a request, and then take to
+#: deliver the rest of its request head, and then its declared body.  An
+#: idle keep-alive connection is closed quietly when it runs out; a
+#: partial head or body gets a 408.
+HEAD_TIMEOUT_S = 10.0
 
 #: Endpoint slugs used as the metrics label — bounded cardinality, no
 #: raw paths.
@@ -741,6 +756,32 @@ class ServingApp:
         head = ("\r\n".join(lines) + "\r\n\r\n").encode("ascii")
         return head if head_only else head + payload
 
+    async def _reject(
+        self,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+        status: int,
+        message: str,
+    ) -> None:
+        """Answer a request that leaves the stream unframeable, then
+        close: the rejection goes out with ``Connection: close``, and
+        what the client already sent is read off (for at most
+        :data:`HEAD_TIMEOUT_S`) so the close does not reset the
+        connection before the client has read the answer."""
+        writer.write(self._encode(status, {"error": message},
+                                  {"Connection": "close"}))
+        await writer.drain()
+        writer.write_eof()
+
+        async def discard() -> None:
+            while await reader.read(MAX_HEAD_BYTES):
+                pass
+
+        try:
+            await asyncio.wait_for(discard(), HEAD_TIMEOUT_S)
+        except (asyncio.TimeoutError, ConnectionError):
+            pass
+
     async def _handle_client(
         self,
         reader: asyncio.StreamReader,
@@ -749,12 +790,22 @@ class ServingApp:
         try:
             while True:
                 try:
-                    raw = await reader.readuntil(b"\r\n\r\n")
-                except (
-                    asyncio.IncompleteReadError,
-                    asyncio.LimitOverrunError,
-                    ConnectionResetError,
-                ):
+                    first = await asyncio.wait_for(reader.readexactly(1),
+                                                   HEAD_TIMEOUT_S)
+                except (asyncio.TimeoutError, asyncio.IncompleteReadError):
+                    break  # idle or closed between requests: quiet close
+                try:
+                    raw = first + await asyncio.wait_for(
+                        reader.readuntil(b"\r\n\r\n"), HEAD_TIMEOUT_S
+                    )
+                except asyncio.TimeoutError:
+                    await self._reject(reader, writer, 408,
+                                       "request head not completed in time")
+                    break
+                except asyncio.LimitOverrunError:
+                    await self._reject(reader, writer, 431,
+                                       f"request head over "
+                                       f"{MAX_HEAD_BYTES} bytes")
                     break
                 request_line, _, header_block = raw.partition(b"\r\n")
                 try:
@@ -762,10 +813,8 @@ class ServingApp:
                         request_line.decode("latin-1").split(" ", 2)
                     )
                 except ValueError:
-                    writer.write(self._encode(
-                        400, {"error": "malformed request line"}, {}
-                    ))
-                    await writer.drain()
+                    await self._reject(reader, writer, 400,
+                                       "malformed request line")
                     break
                 header_lines = header_block.decode("latin-1").split("\r\n")
                 header_map = {}
@@ -779,21 +828,24 @@ class ServingApp:
                 length_text = header_map.get("content-length", "0") or "0"
                 length = (int(length_text) if length_text.isascii()
                           and length_text.isdigit() else -1)
-                rejection = None
                 if length < 0:
-                    rejection = 400, "invalid Content-Length"
-                elif length > MAX_BODY_BYTES:
-                    rejection = 413, (f"request body over "
-                                      f"{MAX_BODY_BYTES} bytes")
-                if rejection is not None:
-                    writer.write(self._encode(
-                        rejection[0], {"error": rejection[1]},
-                        {"Connection": "close"},
-                    ))
-                    await writer.drain()
+                    await self._reject(reader, writer, 400,
+                                       "invalid Content-Length")
+                    break
+                if length > MAX_BODY_BYTES:
+                    await self._reject(reader, writer, 413,
+                                       f"request body over "
+                                       f"{MAX_BODY_BYTES} bytes")
                     break
                 if length:
-                    await reader.readexactly(length)
+                    try:
+                        await asyncio.wait_for(reader.readexactly(length),
+                                               HEAD_TIMEOUT_S)
+                    except asyncio.TimeoutError:
+                        await self._reject(reader, writer, 408,
+                                           "request body not completed "
+                                           "in time")
+                        break
                 connection = header_map.get("connection", "").lower()
                 keep_alive = (
                     connection != "close"
@@ -832,7 +884,7 @@ class ServingApp:
                     port: int = 0) -> Tuple[str, int]:
         """Bind and start accepting; returns the bound (host, port)."""
         self._server = await asyncio.start_server(
-            self._handle_client, host, port
+            self._handle_client, host, port, limit=MAX_HEAD_BYTES
         )
         bound_host, bound_port = (
             self._server.sockets[0].getsockname()[:2]

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..core.database import ASdbRecord
-from ..core.history import ReleaseHistory, TimelineEvent, event_for
+from ..core.history import ReleaseHistory, TimelineEvent, fold_timelines
 from ..core.persistence import record_to_item
 from ..core.snapshots import SnapshotError, SnapshotInfo, SnapshotStore
 from ..core.stages import Stage
@@ -116,7 +116,7 @@ class ReadIndex:
         categories: Dict[str, int],
         stage_counts: Dict[str, int],
         version: IndexVersion,
-        classified: Optional[int] = None,
+        classified: int,
     ) -> None:
         self._records = records
         self._postings = postings
@@ -125,11 +125,7 @@ class ReadIndex:
         # this index came from a full build or a delta application.
         self._categories = dict(sorted(categories.items()))
         self._stage_counts = dict(sorted(stage_counts.items()))
-        self._classified = (
-            classified
-            if classified is not None
-            else sum(1 for r in records.values() if r.classified)
-        )
+        self._classified = classified
         self.version = version
         #: Per-generation pre-rendered responses, keyed by request
         #: target.  The index is immutable, so an entry never goes
@@ -171,40 +167,19 @@ class ReadIndex:
     ) -> "ReadIndex":
         """Materialize an index from any record iterable.
 
-        One streaming pass: by-ASN map, organization-token postings,
-        category histogram, and stage counts are all built together, so
-        a store-backed build reads each record exactly once.
+        A full build is :meth:`apply_delta` onto an empty index: one
+        streaming pass admits every record into the by-ASN map, the
+        organization-token postings, the category histogram and the
+        stage counts, so a store-backed build reads each record exactly
+        once and the admit logic exists in one place.
         """
-        by_asn: Dict[int, ASdbRecord] = {}
-        posting_sets: Dict[str, List[int]] = {}
-        categories: Dict[str, int] = {}
-        stage_counts: Dict[str, int] = {}
-        classified = 0
-        for record in records:
-            by_asn[record.asn] = record
-            if record.classified:
-                classified += 1
-            stage_counts[record.stage.value] = (
-                stage_counts.get(record.stage.value, 0) + 1
-            )
-            for slug in record.labels.layer1_slugs():
-                categories[slug] = categories.get(slug, 0) + 1
-            for token in _org_tokens(record):
-                posting_sets.setdefault(token, []).append(record.asn)
-        postings = {
-            token: tuple(sorted(asns))
-            for token, asns in posting_sets.items()
-        }
-        version = IndexVersion(
-            generation=generation,
-            records=len(by_asn),
-            coverage=classified / len(by_asn) if by_asn else 0.0,
-            source=source,
-            snapshot_version=snapshot_version,
-            digest=digest,
+        empty = cls({}, {}, {}, {}, IndexVersion(
+            generation=0, records=0, coverage=0.0, source=source,
+        ), 0)
+        return empty.apply_delta(
+            records, (), generation=generation, source=source,
+            snapshot_version=snapshot_version, digest=digest,
         )
-        return cls(by_asn, postings, categories, stage_counts, version,
-                   classified=classified)
 
     # -- incremental refresh -------------------------------------------------
 
@@ -224,10 +199,10 @@ class ReadIndex:
         copies, no re-parsing or re-tokenizing), and only entries for
         removed/changed records — their org tokens, their category and
         stage tallies — are recomputed.  ``removed`` applies first,
-        then ``changed`` (each ASN at most once), matching snapshot
-        delta semantics; the result is structurally identical to a full
-        :meth:`build` over the updated record set (see
-        :meth:`fingerprint`).  This index is left untouched.
+        then ``changed`` (a repeated ASN replaces its earlier record),
+        matching snapshot delta semantics; the result is structurally
+        identical to a full :meth:`build` over the updated record set
+        (see :meth:`fingerprint`).  This index is left untouched.
         """
         records = dict(self._records)
         categories = dict(self._categories)
@@ -296,7 +271,7 @@ class ReadIndex:
             digest=digest,
         )
         return ReadIndex(records, postings, categories, stage_counts,
-                         version, classified=classified)
+                         version, classified)
 
     def fingerprint(self) -> str:
         """Content digest of everything the index serves.
@@ -449,12 +424,13 @@ class HistoryIndex:
     ) -> Optional["HistoryIndex"]:
         """Successor covering releases appended since this build.
 
-        Appends just the new versions' events onto the existing
-        timelines (copy-on-write: untouched ASes share their event
-        tuples with this index) instead of rescanning the whole delta
-        chain.  Applies only when the store's lineage matches — the
-        newest release this index covers must still be present with the
-        same digest, and everything after it must be a plain delta.
+        Folds just the new versions onto the existing timelines with
+        the same :func:`~repro.core.history.fold_timelines` a full build
+        runs (copy-on-write: untouched ASes share their event tuples
+        with this index) instead of rescanning the whole delta chain.
+        Applies only when the store's lineage matches — the newest
+        release this index covers must still be present with the same
+        digest, and everything after it must be a plain delta.
         Returns ``None`` otherwise; the caller falls back to
         :meth:`build`.  This index is left untouched.
         """
@@ -470,21 +446,7 @@ class HistoryIndex:
         chain = store.deltas_since(base)
         if chain is None:
             return None
-        timelines = dict(self._timelines)
-
-        def apply(info: SnapshotInfo, asn: int,
-                  item: Optional[dict]) -> None:
-            timeline = timelines.get(asn, ())
-            current = timeline[-1].item if timeline else None
-            event = event_for(info, current, item)
-            if event is not None:
-                timelines[asn] = timeline + (event,)
-
-        for info, changed, removed in chain:
-            for asn in removed:
-                apply(info, int(asn), None)
-            for item in changed:
-                apply(info, int(item["asn"]), item)
+        timelines = fold_timelines(self._timelines, chain)
         infos = dict(self._infos)
         for info, _, _ in chain:
             infos[info.version] = info

@@ -1,5 +1,5 @@
 """Tests for the run ledger: repro.obs.runlog and its wiring through
-the pipeline, both pool executors, and the CLI."""
+the pipeline, the thread-pool batch engine, and the CLI."""
 
 import json
 
@@ -7,7 +7,6 @@ import pytest
 
 from repro import SystemConfig, WorldConfig, build_asdb, generate_world
 from repro.cli import main
-from repro.core.procpool import map_chunked
 from repro.obs import (
     LEDGER_SCHEMA,
     NULL_RUNLOG,
@@ -138,9 +137,7 @@ class TestNullRunLog:
     def test_full_api_is_inert(self, tmp_path):
         null = NullRunLog()
         assert not null.enabled
-        assert null.span_context("x") is None
         null.emit("anything", field=1)
-        null.emit_span_record({"span_id": "x"})
         with null.span("noop") as span:
             span.set_status("ok").note(k=1)
         null.sample_resources({"c": lambda: {}}, phase="p")
@@ -151,51 +148,6 @@ class TestNullRunLog:
 
     def test_shared_instance_exists(self):
         assert isinstance(NULL_RUNLOG, NullRunLog)
-
-
-def _double(payload, chunk):
-    return [value * 2 for value in chunk]
-
-
-class TestProcessPoolSpans:
-    def test_chunk_spans_return_through_sink(self, tmp_path):
-        log = RunLog(str(tmp_path / "run.ndjson"))
-        sink = []
-        results = map_chunked(
-            _double, None, list(range(20)), workers=2, chunk_size=5,
-            span_context=log.span_context("parent01"), span_sink=sink,
-        )
-        for record in sink:
-            log.emit_span_record(record)
-        log.finish()
-        assert results == [value * 2 for value in range(20)]
-        assert len(sink) == 4
-        spans = _events(tmp_path / "run.ndjson", "span")
-        assert {span["parent_id"] for span in spans} == {"parent01"}
-        assert {span["name"] for span in spans} == {"procpool.chunk"}
-        assert {span["worker"]["kind"] for span in spans} == {"process"}
-        assert sum(
-            span["attributes"]["items"] for span in spans
-        ) == 20
-
-    def test_inline_fallback_marks_main_worker(self, tmp_path):
-        log = RunLog(str(tmp_path / "run.ndjson"))
-        sink = []
-        map_chunked(
-            _double, None, [1, 2, 3], workers=1,
-            span_context=log.span_context(None), span_sink=sink,
-        )
-        assert sink and all(
-            record["worker"]["kind"] == "main" for record in sink
-        )
-
-    def test_no_context_produces_no_spans(self):
-        sink = []
-        results = map_chunked(
-            _double, None, [1, 2, 3], workers=2, span_sink=sink
-        )
-        assert results == [2, 4, 6]
-        assert sink == []
 
 
 class TestPipelineLedger:

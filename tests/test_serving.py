@@ -26,8 +26,11 @@ import pytest
 from repro import SystemConfig, WorldConfig, build_asdb, generate_world
 from repro.core import ASdbRecord, SnapshotStore, Stage
 from repro.core.database import ASdbDataset
+from repro.core.persistence import record_to_item
 from repro.obs import MetricsRegistry, RunLog, read_ledger
-from repro.serving.app import MAX_BODY_BYTES
+from repro.serving import app as app_module
+from repro.serving.app import MAX_BODY_BYTES, MAX_HEAD_BYTES
+from repro.serving.index import _org_tokens
 from repro.serving import (
     OFFER_FULL,
     OFFER_PENDING,
@@ -90,6 +93,22 @@ class TestReadIndex:
             assert record.asn in index
         assert index.categories() == dataset.category_histogram()
         assert index.stage_counts_typed() == dataset.stage_counts()
+
+    def test_repeated_asn_keeps_the_last_record(self):
+        index = ReadIndex.build([
+            _record(1, slugs=("isp",), org="Acme"),
+            _record(2, slugs=("isp",), org="Globex"),
+            _record(1, slugs=("banks",), org="Acme"),
+            _record(1, slugs=("banks",), org="Initech"),
+            _record(1, slugs=("banks",), org="Initech"),
+        ])
+        assert len(index) == 2
+        _assert_matches_oracle(index, [
+            _record(1, slugs=("banks",), org="Initech"),
+            _record(2, slugs=("isp",), org="Globex"),
+        ])
+        assert index.search_org("acme") == []
+        assert [r.asn for r in index.search_org("initech")] == [1]
 
     def test_get_unknown(self):
         index = ReadIndex.build([_record(1)])
@@ -600,6 +619,51 @@ class TestHttpFraming:
             response = _raw_exchange(service, request)
         assert response.count(b"HTTP/1.1 200 OK") == 2
 
+    def test_oversized_head_answered_431_then_closed(self):
+        app = ServingApp(index_from_store(_dataset([_record(1)])))
+        request = (b"GET /healthz HTTP/1.1\r\nHost: t\r\nX-Pad: "
+                   + b"a" * (MAX_HEAD_BYTES + 4096))
+        with _HttpService(app) as service:
+            response = _raw_exchange(service, request)
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 431 ")
+        assert b"Connection: close" in head
+        assert "error" in json.loads(body)
+
+    @pytest.mark.parametrize("request_bytes", [
+        b"GET /healthz HTTP/1.1\r\nHost: t\r\n",
+        b"POST /refresh HTTP/1.1\r\nHost: t\r\n"
+        b"Content-Length: 1000\r\n\r\nabc",
+    ], ids=["partial-head", "short-body"])
+    def test_partial_request_times_out_with_408(
+        self, monkeypatch, request_bytes
+    ):
+        monkeypatch.setattr(app_module, "HEAD_TIMEOUT_S", 0.2)
+        app = ServingApp(index_from_store(_dataset([_record(1)])))
+        with _HttpService(app) as service:
+            started = time.monotonic()
+            response = _raw_exchange(service, request_bytes)
+            elapsed = time.monotonic() - started
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 408 ")
+        assert b"Connection: close" in head
+        assert "error" in json.loads(body)
+        assert elapsed < 5
+
+    @pytest.mark.parametrize("request_bytes, answers", [
+        (b"", 0),
+        (b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n", 1),
+    ], ids=["never-sends", "keep-alive-after-response"])
+    def test_idle_connection_closed_quietly(
+        self, monkeypatch, request_bytes, answers
+    ):
+        monkeypatch.setattr(app_module, "HEAD_TIMEOUT_S", 0.2)
+        app = ServingApp(index_from_store(_dataset([_record(1)])))
+        with _HttpService(app) as service:
+            response = _raw_exchange(service, request_bytes)
+        assert response.count(b"HTTP/1.1 ") == answers
+        assert response.count(b"HTTP/1.1 200 OK") == answers
+
 
 class TestSnapshotServing:
     def _store(self, tmp_path, records):
@@ -877,6 +941,62 @@ def _assert_index_equal(incremental, full):
     assert incremental._postings == full._postings
 
 
+def _expected_index(records):
+    """Index contents computed straight from a record set, in one
+    independent pass: ``(categories, stage counts, classified count,
+    postings)``.  An oracle for builds, which are themselves delta
+    applications onto an empty index."""
+    categories, stage_counts, posting_lists = {}, {}, {}
+    classified = 0
+    for record in records:
+        if record.classified:
+            classified += 1
+        stage_counts[record.stage.value] = (
+            stage_counts.get(record.stage.value, 0) + 1
+        )
+        for slug in record.labels.layer1_slugs():
+            categories[slug] = categories.get(slug, 0) + 1
+        for token in _org_tokens(record):
+            posting_lists.setdefault(token, []).append(record.asn)
+    postings = {
+        token: tuple(sorted(asns)) for token, asns in posting_lists.items()
+    }
+    return categories, stage_counts, classified, postings
+
+
+def _assert_matches_oracle(index, records):
+    records = list(records)
+    categories, stage_counts, classified, postings = (
+        _expected_index(records)
+    )
+    assert index.categories() == categories
+    assert index.stage_counts() == stage_counts
+    assert index._classified == classified
+    assert index._postings == postings
+    assert len(index) == len(records)
+    assert index.version.coverage == (
+        classified / len(records) if records else 0.0
+    )
+    for record in records:
+        assert record_view(index.get(record.asn)) == record_view(record)
+
+
+def _expected_timeline(states, asn):
+    """``(version, change, item)`` per release that changed the AS,
+    straight from the record sets the versions were saved from: an
+    oracle for the history fold."""
+    expected, old = [], None
+    for version, state in enumerate(states, start=1):
+        record = state.get(asn)
+        new = None if record is None else record_to_item(record)
+        if new != old:
+            change = ("added" if old is None
+                      else "removed" if new is None else "updated")
+            expected.append((version, change, new))
+        old = new
+    return expected
+
+
 class TestIncrementalRefresh:
     """Delta-applied successors must equal full rebuilds, always."""
 
@@ -892,6 +1012,7 @@ class TestIncrementalRefresh:
             world = _random_world(rng)
             store.save(_dataset(world.values()), window=(-1, 0))
             index = index_from_snapshots(root, generation=1)
+            _assert_matches_oracle(index, world.values())
             for epoch in range(1, 5):
                 _mutate(rng, world)
                 store.save(_dataset(world.values()),
@@ -903,6 +1024,7 @@ class TestIncrementalRefresh:
                 full = index_from_snapshots(
                     root, generation=epoch + 1
                 )
+                _assert_matches_oracle(full, world.values())
                 _assert_index_equal(incremental, full)
                 index = incremental
 
@@ -986,11 +1108,13 @@ class TestIncrementalRefresh:
             store = SnapshotStore(root)
             world = _random_world(rng)
             store.save(_dataset(world.values()), window=(-1, 0))
+            states = [dict(world)]
             history = history_from_snapshots(root, generation=1)
             for epoch in range(1, 5):
                 _mutate(rng, world)
                 store.save(_dataset(world.values()),
                            window=(epoch * 30 - 30, epoch * 30))
+                states.append(dict(world))
                 extended = refresh_history_from_snapshots(
                     root, history, generation=epoch + 1
                 )
@@ -1002,6 +1126,10 @@ class TestIncrementalRefresh:
                 assert extended._infos == full._infos
                 assert extended._days == full._days
                 assert extended.generation == full.generation
+                for asn in range(1, 221):
+                    events = [(event.version, event.change, event.item)
+                              for event in full.timeline(asn) or ()]
+                    assert events == _expected_timeline(states, asn), asn
                 history = extended
 
     def test_history_extend_refuses_stale_lineage(self, tmp_path):

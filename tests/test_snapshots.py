@@ -1,6 +1,7 @@
 """Tests for the versioned snapshot store and the incremental refresh
 engine (the Section-5.3 maintenance tentpole)."""
 
+import errno
 import json
 import os
 import stat
@@ -227,6 +228,70 @@ class TestSaveVerifiesParentChain:
             written = ("file", os.stat(root / name).st_ino)
             assert written in synced
             assert directory in synced[synced.index(written) + 1:]
+
+
+class TestSaveCrashInjection:
+    """A save that fails at any write step leaves the store loadable at
+    the old version or the new one, digest-verified, and leaves the
+    failing handle agreeing with a fresh one."""
+
+    @pytest.mark.parametrize("step", ["replace", "directory-fsync"])
+    @pytest.mark.parametrize("target", [
+        ".ckpt.json", ".delta.json", "manifest.json",
+    ], ids=["checkpoint", "delta", "manifest"])
+    def test_failed_save_leaves_old_or_new_version(
+        self, tmp_path, monkeypatch, step, target
+    ):
+        import repro.core.snapshots as snapshots_module
+
+        root = tmp_path / "store"
+        # checkpoint_every=1: the delta save also writes a checkpoint.
+        store = SnapshotStore(root, checkpoint_every=1)
+        store.save(_release(1))
+        real_replace = os.replace
+        real_fsync_directory = snapshots_module._fsync_directory
+        state = {"last": None, "armed": True}
+
+        def fail_once(where):
+            if state["armed"] and where.endswith(target):
+                state["armed"] = False
+                raise OSError(errno.ENOSPC, "injected", where)
+
+        def replace(src, dst):
+            if step == "replace":
+                fail_once(str(dst))
+            real_replace(src, dst)
+            state["last"] = str(dst)
+
+        def fsync_directory(path):
+            if step == "directory-fsync" and state["last"]:
+                fail_once(state["last"])
+            real_fsync_directory(path)
+
+        monkeypatch.setattr(os, "replace", replace)
+        monkeypatch.setattr(snapshots_module, "_fsync_directory",
+                            fsync_directory)
+        with pytest.raises(OSError, match="injected"):
+            store.save(_release(2))
+        assert not state["armed"]
+
+        fresh = SnapshotStore(root)
+        assert len(fresh) in (1, 2)
+        # load() verifies the recorded digest.
+        assert dataset_to_json(fresh.load()) == dataset_to_json(
+            _release(len(fresh))
+        )
+        assert [info.to_manifest() for info in store.versions()] == [
+            info.to_manifest() for info in fresh.versions()
+        ]
+
+        store.save(_release(3))
+        reopened = SnapshotStore(root)
+        info = reopened.save(_release(4))
+        assert info.version == len(fresh) + 2
+        assert dataset_to_json(SnapshotStore(root).load()) == (
+            dataset_to_json(_release(4))
+        )
 
 
 class TestIncrementalRefresh:
